@@ -21,8 +21,10 @@
 # hedges, cancellation, and the gather join over real sockets — including
 # the stitched-trace suites, where every leg thread grafts a remote span
 # tree into the one shared Trace while siblings annotate it.  test_obs
-# rides along for the clock-offset estimator and rebase clamping.  Any race
-# report fails the run.
+# rides along for the clock-offset estimator and rebase clamping.
+# test_grant drives QueryContext::grant from 8 threads at once (the
+# compare-exchange budget path, parent refunds) and the tile-parallel and
+# sharded executors over budgeted grants.  Any race report fails the run.
 set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
@@ -32,7 +34,7 @@ cmake -B "${BUILD}" -S "${ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DMMIR_SANITIZE=thread
 cmake --build "${BUILD}" -j"$(nproc)" \
-  --target test_engine test_parallel_exec test_fault_injection test_core \
+  --target test_engine test_grant test_parallel_exec test_fault_injection test_core \
            test_obs test_obs_concurrency test_export test_aggregate \
            test_stats_server test_shard_parity test_shard_merge \
            test_index_onion test_sproc_oracle test_explain test_chaos \
@@ -40,7 +42,7 @@ cmake --build "${BUILD}" -j"$(nproc)" \
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 ctest --test-dir "${BUILD}" --output-on-failure \
-  -R 'test_engine|test_parallel_exec|test_fault_injection|test_core|test_obs|test_obs_concurrency|test_export|test_aggregate|test_stats_server|test_shard_parity|test_shard_merge|test_index_onion|test_sproc_oracle|test_explain|test_batch_parity'
+  -R 'test_engine|test_grant|test_parallel_exec|test_fault_injection|test_core|test_obs|test_obs_concurrency|test_export|test_aggregate|test_stats_server|test_shard_parity|test_shard_merge|test_index_onion|test_sproc_oracle|test_explain|test_batch_parity'
 ctest --test-dir "${BUILD}" --output-on-failure -L chaos
 # TSan serializes heavily; a reduced parity battery still covers every
 # (mode, policy, shard-count) interleaving class.

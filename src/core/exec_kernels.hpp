@@ -5,7 +5,8 @@
 //
 // Each kernel scans one pixel rectangle — a tile, a row band, or the whole
 // scene — into a caller-owned TopK accumulator, charging a caller-owned
-// CostMeter and the shared QueryContext.  Nothing in here is thread-aware:
+// CostMeter and the shared QueryContext (the full-model kernel in whole-
+// rectangle grants, the staged one per term).  Nothing in here is thread-aware:
 // parallelism comes from running many kernels at once over disjoint
 // rectangles with per-worker accumulators/meters, which is exactly why the
 // serial and parallel executors can share this code and stay answer-
@@ -77,8 +78,9 @@ struct ScanTally {
 /// Staged evaluation of one pixel with early abandoning: returns the exact
 /// score, or any value strictly below `threshold` once the upper bound drops
 /// under it.  Charges one op + point per term actually computed, both to the
-/// meter and to the query context (whose failure aborts the pixel — callers
-/// must check ctx.stopped() on return).
+/// meter and to the query context (charge(1) per term: how many terms run is
+/// only known as they run; a refusal aborts the pixel — callers must check
+/// ctx.stopped() on return).
 inline double staged_pixel(const TiledArchive& archive, const ProgressiveLinearModel& model,
                            std::size_t x, std::size_t y, double threshold, QueryContext& ctx,
                            CostMeter& meter) {
@@ -112,25 +114,37 @@ inline double full_pixel(const TiledArchive& archive, const RasterModel& model, 
 
 /// Scans the rectangle [x0,x1)×[y0,y1) with the full model, offering every
 /// finite score into `top` and counting visited pixels / non-finite
-/// evaluations into `tally` (bad points also go to the context).  Stops
-/// early — possibly mid-row — once the context stops; callers check
-/// ctx.stopped() to distinguish.
+/// evaluations into `tally` (bad points also go to the context).  Work is
+/// granted in whole pixels for the whole rectangle at once (in slices of
+/// one check interval when the context has a deadline or cancel flag) and
+/// the granted prefix is scanned in row-major order, so a budget stops the
+/// scan at exactly the pixel a per-pixel charge would — possibly mid-row.
+/// Callers check ctx.stopped() to distinguish.
 inline void scan_rect_full(const TiledArchive& archive, const RasterModel& model, std::size_t x0,
                            std::size_t x1, std::size_t y0, std::size_t y1, TopK<RasterHit>& top,
                            std::vector<double>& scratch, QueryContext& ctx, CostMeter& meter,
                            ScanTally& tally) {
   const std::uint64_t ops_per_pixel = model.ops_per_evaluation();
-  for (std::size_t y = y0; y < y1 && !ctx.stopped(); ++y) {
-    for (std::size_t x = x0; x < x1; ++x) {
-      if (!ctx.charge(ops_per_pixel)) break;
+  std::uint64_t left = static_cast<std::uint64_t>(x1 - x0) * (y1 - y0);
+  std::size_t x = x0;
+  std::size_t y = y0;
+  while (left > 0) {
+    std::uint64_t granted = ctx.grant(ops_per_pixel, left);
+    if (granted == 0) return;
+    left -= granted;
+    for (; granted > 0; --granted) {
       ++tally.pixels;
       const double score = full_pixel(archive, model, x, y, scratch, meter);
-      if (!std::isfinite(score)) {
+      if (std::isfinite(score)) {
+        top.offer_ranked(score, pixel_rank(archive, x, y), RasterHit{x, y, score});
+      } else {
         ctx.note_bad_points();
         ++tally.bad_points;
-        continue;
       }
-      top.offer_ranked(score, pixel_rank(archive, x, y), RasterHit{x, y, score});
+      if (++x == x1) {
+        x = x0;
+        ++y;
+      }
     }
   }
 }

@@ -11,21 +11,38 @@
 //     path pays an add + compare, not a clock read, per unit), and
 //   * a *cooperative cancellation flag* owned by the caller.
 //
-// Executors call charge(n) before doing n units of work; the first failed
-// charge latches a stop reason and every later charge fails too, so inner
-// loops unwind naturally.  Executors then return whatever top-K prefix they
-// accumulated, tagged with the ResultStatus and a *sound upper bound* on the
-// score of anything they did not examine — a partial answer the caller can
-// still reason about instead of an exception or an unbounded stall.
+// Executors ask for work before doing it: grant(u, n) for n whole pixels
+// of u units each (the full-model scan kernels, once per rectangle) or
+// charge(u) for one item (staged terms, SPROC steps, Onion points).  The
+// first refusal latches a stop reason and every later request is refused
+// too, so inner loops unwind naturally.  Executors then return whatever
+// top-K prefix they accumulated, tagged with the ResultStatus and a *sound
+// upper bound* on the score of anything they did not examine — a partial
+// answer the caller can still reason about instead of an exception or an
+// unbounded stall.
 //
-// Concurrency: one context is shared by every worker of a tile-parallel
-// execution (engine/parallel_exec.hpp), so the mutable execution state —
-// spent counter, check tick, bad-point tally, latched stop reason — lives in
-// relaxed atomics:
+// Concurrency: one context is shared by every worker of a tile-parallel or
+// sharded execution (engine/parallel_exec.hpp, engine/shard_exec.hpp), so
+// the mutable execution state — spent counter, check tick, bad-point
+// tally, latched stop reason — lives in relaxed atomics:
 //
-//   * charge() accumulates with fetch_add; concurrent charges never lose
-//     work, so the budget is enforced exactly (the first add that lands past
-//     the budget fails, and every later charge observes the latch).
+//   * grants are whole pixels.  grant(u, n) returns g ≤ n and charges
+//     exactly g·u; a g below what the limits were asked for latches the
+//     stop reason.  Callers request a whole tile or row band at once and
+//     scan the granted prefix in row-major order, so the shared counter is
+//     touched once per rectangle, not once per pixel, and a serial budgeted
+//     run stops at exactly the pixel a per-pixel loop would.
+//   * no overshoot: with an op budget the spent counter advances by
+//     compare-exchange and never passes budget(); concurrent grants split
+//     the remainder exactly (their sum is min(requested, budget / u)
+//     pixels).  Without one it advances by a single fetch_add.
+//   * check cadence: a context with a deadline or cancel flag caps each
+//     grant at check_interval units (at least one pixel) and reads the
+//     clock / flag whenever the shared tick crosses the interval, so a stop
+//     is seen within one interval of granted work.
+//   * chains: a child forwards each request to its parent first, then
+//     applies its own limits and refunds the parent whatever those refuse,
+//     so spent() is exact on both sides.
 //   * the stop reason latches via compare-exchange: exactly one cause wins
 //     and is never overwritten by a concurrently detected one.
 //   * relaxed ordering is sufficient because the context only *steers*
@@ -37,7 +54,7 @@
 //
 // The class is fully header-only so leaf libraries (sproc, index) can use it
 // without linking mmir_core; only the cold deadline/cancel path touches the
-// clock, and it is kept out of charge()'s inlined fast path.
+// clock, and it is kept out of grant()'s inlined fast path.
 
 #include <atomic>
 #include <chrono>
@@ -91,9 +108,10 @@ class QueryContext {
     return *this;
   }
 
-  /// Chains this context under `parent`: every charge is forwarded to the
-  /// parent first, so the *global* budget/deadline/cancel envelope stays
-  /// exactly enforced across any number of children, and a parent stop
+  /// Chains this context under `parent`: every grant is forwarded to the
+  /// parent first (and refunded there when this context's own limits refuse
+  /// it), so the *global* budget/deadline/cancel envelope stays exactly
+  /// enforced across any number of children, and a parent stop
   /// latches the parent's reason here so inner loops unwind with the global
   /// verdict.  The child may add its own (tighter) deadline and cancel flag
   /// — the per-shard sub-deadline and hedge-cancellation seams of the shard
@@ -118,49 +136,41 @@ class QueryContext {
   /// The query's trace span; nullptr when untraced.
   [[nodiscard]] const obs::Span* span() const noexcept { return span_; }
 
-  /// How many charged units elapse between deadline / cancellation checks
-  /// (default 1024).  Lower values react faster and cost more clock reads.
-  /// With W workers sharing the context the *aggregate* check cadence is the
-  /// same; each individual worker may go up to W intervals between checks.
+  /// How many granted units elapse between deadline / cancellation checks
+  /// (default 1024); it also caps each grant of a context that has a
+  /// deadline or cancel flag.  Lower values react faster and cost more
+  /// clock reads.  The tick is shared, so W workers together read the clock
+  /// once per interval of granted work.
   QueryContext& with_check_interval(std::uint64_t units) {
     MMIR_EXPECTS(units > 0);
     check_interval_ = units;
     return *this;
   }
 
-  /// True when nothing can ever stop this context — no budget, deadline,
-  /// cancel flag, or (transitively) limited parent.  charge() then cannot
-  /// fail, so bulk executors may charge coarse-grained aggregates (e.g. a
-  /// whole tile at once) without changing trip behavior or the final
-  /// spent() total.  Read-only; safe against concurrent charges.
-  [[nodiscard]] bool unbounded() const noexcept {
-    return budget_ == std::numeric_limits<std::uint64_t>::max() && !has_deadline_ &&
-           cancel_ == nullptr && (parent_ == nullptr || parent_->unbounded());
-  }
-
   // ------------------------------------------------------------------ execution
 
-  /// Charges `units` of work.  Returns true when execution may proceed;
-  /// false once the budget is exhausted, the deadline passed, or the caller
-  /// cancelled.  The first failure latches: all later charges fail too.
-  /// Safe to call concurrently from multiple workers (see header comment).
-  [[nodiscard]] bool charge(std::uint64_t units = 1) noexcept {
-    if (stop_.load(std::memory_order_relaxed) != ResultStatus::kComplete) return false;
-    if (parent_ != nullptr && !parent_->charge(units)) {
-      latch(parent_->stop_reason());
-      return false;
+  /// Grants up to `pixels` whole work items of `units_per_pixel` units each
+  /// and returns how many may run; exactly granted × units_per_pixel is
+  /// charged.  Fewer than requested without a stop only when a deadline or
+  /// cancel flag caps the grant at one check interval: callers loop until
+  /// they have their rectangle or a grant of 0.  A grant cut short by the
+  /// budget (here or in a parent) latches the stop reason; once stopped,
+  /// every grant is 0.  `pixels` == 0 returns 0 and charges nothing.  Safe
+  /// to call concurrently from multiple workers (see header comment).
+  [[nodiscard]] std::uint64_t grant(std::uint64_t units_per_pixel, std::uint64_t pixels) noexcept {
+    if (stopped() || pixels == 0) return 0;
+    if (parent_ != nullptr || paced() || units_per_pixel == 0) {
+      return grant_chained(units_per_pixel, pixels);
     }
-    const std::uint64_t spent = spent_.fetch_add(units, std::memory_order_relaxed) + units;
-    if (spent > budget_) {
-      latch(ResultStatus::kTruncatedBudget);
-      return false;
-    }
-    if (has_deadline_ || cancel_ != nullptr) {
-      const std::uint64_t tick = tick_.fetch_add(units, std::memory_order_relaxed) + units;
-      if (tick >= check_interval_) return check_slow();
-    }
-    return true;
+    const std::uint64_t granted = take(units_per_pixel, pixels);
+    if (granted < pixels) latch(ResultStatus::kTruncatedBudget);
+    return granted;
   }
+
+  /// Charges `units` of work as one indivisible item: grant(units, 1).
+  /// Returns true when execution may proceed; false once the budget cannot
+  /// cover it, the deadline passed, or the caller cancelled.
+  [[nodiscard]] bool charge(std::uint64_t units = 1) noexcept { return grant(units, 1) == 1; }
 
   /// Forces an immediate budget / deadline / cancellation check without
   /// charging work (used at coarse-grained checkpoints, e.g. between
@@ -171,15 +181,11 @@ class QueryContext {
       latch(parent_->stop_reason());
       return true;
     }
-    if (spent_.load(std::memory_order_relaxed) > budget_) {
-      latch(ResultStatus::kTruncatedBudget);
-      return true;
-    }
     if (cancel_ != nullptr || has_deadline_) return !check_slow();
     return false;
   }
 
-  /// True once a charge has failed (or expired() observed a stop condition).
+  /// True once a grant was refused (or expired() observed a stop condition).
   [[nodiscard]] bool stopped() const noexcept {
     return stop_.load(std::memory_order_relaxed) != ResultStatus::kComplete;
   }
@@ -199,16 +205,12 @@ class QueryContext {
     return bad_points_.load(std::memory_order_relaxed);
   }
 
-  /// Total charged work.  Concurrent failing charges may leave this slightly
-  /// above budget(); remaining() clamps accordingly.
+  /// Total granted work; never above budget().
   [[nodiscard]] std::uint64_t spent() const noexcept {
     return spent_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t budget() const noexcept { return budget_; }
-  [[nodiscard]] std::uint64_t remaining() const noexcept {
-    const std::uint64_t spent = spent_.load(std::memory_order_relaxed);
-    return spent >= budget_ ? 0 : budget_ - spent;
-  }
+  [[nodiscard]] std::uint64_t remaining() const noexcept { return budget_ - spent(); }
 
   /// Clears spent work, the latched stop reason and the bad-point tally,
   /// keeping the configuration — for reusing one context across queries.
@@ -221,6 +223,71 @@ class QueryContext {
   }
 
  private:
+  /// True when grants are capped at one check interval and tick the
+  /// deadline / cancel check.
+  [[nodiscard]] bool paced() const noexcept { return has_deadline_ || cancel_ != nullptr; }
+
+  /// grant() for a chained or paced context (or a zero-cost item): the
+  /// parent decides first, then this context's budget, then the deadline /
+  /// cancel check; whatever this context refuses goes back to the parent.
+  std::uint64_t grant_chained(std::uint64_t units_per_pixel, std::uint64_t pixels) noexcept {
+    if (units_per_pixel == 0) return expired() ? 0 : pixels;
+    std::uint64_t want = pixels;
+    if (paced()) want = std::min(want, std::max<std::uint64_t>(1, check_interval_ / units_per_pixel));
+    if (parent_ != nullptr) {
+      const std::uint64_t from_parent = parent_->grant(units_per_pixel, want);
+      if (from_parent == 0) {
+        latch(parent_->stop_reason());
+        return 0;
+      }
+      if (from_parent < want && parent_->stopped()) latch(parent_->stop_reason());
+      want = from_parent;
+    }
+    std::uint64_t granted = take(units_per_pixel, want);
+    if (granted < want) latch(ResultStatus::kTruncatedBudget);
+    if (granted > 0 && paced()) {
+      const std::uint64_t units = granted * units_per_pixel;
+      if (tick_.fetch_add(units, std::memory_order_relaxed) + units >= check_interval_ &&
+          !check_slow()) {
+        spent_.fetch_sub(units, std::memory_order_relaxed);
+        granted = 0;
+      }
+    }
+    if (parent_ != nullptr && granted < want) parent_->refund((want - granted) * units_per_pixel);
+    return granted;
+  }
+
+  /// Takes up to `want` whole pixels of `units` (> 0) each from this
+  /// context's own budget; never moves spent() past budget().  A request
+  /// whose cost overflows 64 bits is cut to the largest one that does not.
+  std::uint64_t take(std::uint64_t units, std::uint64_t want) noexcept {
+    std::uint64_t cost = 0;
+    if (__builtin_mul_overflow(want, units, &cost)) {
+      want = std::numeric_limits<std::uint64_t>::max() / units;
+      cost = want * units;
+    }
+    if (budget_ == std::numeric_limits<std::uint64_t>::max()) {
+      spent_.fetch_add(cost, std::memory_order_relaxed);
+      return want;
+    }
+    std::uint64_t spent = spent_.load(std::memory_order_relaxed);
+    std::uint64_t granted = 0;
+    do {
+      const std::uint64_t room = budget_ - spent;
+      granted = cost <= room ? want : room / units;  // divide only on a short grant
+      if (granted == 0) return 0;
+    } while (!spent_.compare_exchange_weak(spent, spent + granted * units,
+                                           std::memory_order_relaxed));
+    return granted;
+  }
+
+  /// Returns `units` a child granted out of this context but refused itself,
+  /// up the whole chain (each ancestor charged them on the way down).
+  void refund(std::uint64_t units) noexcept {
+    spent_.fetch_sub(units, std::memory_order_relaxed);
+    if (parent_ != nullptr) parent_->refund(units);
+  }
+
   /// Latches the first stop reason; concurrent detections of a different
   /// cause lose the race and keep the original reason.  The winning latch is
   /// recorded on the trace span (exactly once, from the winning thread).

@@ -51,12 +51,14 @@ struct MemberState {
   double domain_bound = kNegInf;      // sound pre-metadata missed bound
 
   std::size_t subset_pos = 0;  // cursor into tile_subset (ascending)
+  /// Full-model members draw whole-pixel grants per tile, like
+  /// exec::scan_rect_full: `granted` pixels of the current tile are paid
+  /// for, `ungranted` are still to be asked for.
+  std::uint64_t granted = 0;
+  std::uint64_t ungranted = 0;
+
   bool screened = false;
   bool staged = false;
-  /// Full-model member whose context can never trip: charged per tile in
-  /// one aggregate instead of per pixel (same spent() total, no trip to
-  /// mistime, one atomic where the solo path pays thousands).
-  bool bulk_charged = false;
   bool done = false;     // finished its tiles or tripped
   bool stopped = false;  // tripped (budget / deadline / cancel)
   bool scan_trip = false;
@@ -161,7 +163,6 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
       m.full = spec.model;
       m.full_linear = dynamic_cast<const LinearRasterModel*>(spec.model);
       m.ops_per_pixel = spec.model->ops_per_evaluation();
-      m.bulk_charged = spec.ctx->unbounded();
     }
     switch (spec.mode) {
       case BatchScanMode::kTileScreened:
@@ -252,9 +253,9 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
         }
       }
       ++m.tiles_scanned;
-      if (m.bulk_charged) {
-        (void)m.ctx->charge(static_cast<std::uint64_t>(tile.width) * tile.height *
-                            m.ops_per_pixel);
+      if (!m.staged) {
+        m.ungranted = static_cast<std::uint64_t>(tile.width) * tile.height;
+        m.granted = 0;
       }
       needing.push_back(&m);
     }
@@ -297,10 +298,15 @@ std::vector<BatchMemberResult> batch_scan(const TiledArchive& archive,
             // Mirrors exec::scan_rect_full, except the physical gather runs
             // once per pixel; every member is billed its full logical read
             // so its meter matches a solo run byte for byte.
-            if (!m.bulk_charged && !ctx.charge(m.ops_per_pixel)) {
-              trip(m, t);
-              continue;
+            if (m.granted == 0) {
+              m.granted = ctx.grant(m.ops_per_pixel, m.ungranted);
+              m.ungranted -= m.granted;
+              if (m.granted == 0) {
+                trip(m, t);
+                continue;
+              }
             }
+            --m.granted;
             ++m.tally.pixels;
             if (!decoded) {
               archive.read_pixel(x, y, scratch, meter);

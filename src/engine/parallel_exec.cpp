@@ -61,13 +61,16 @@ class SharedThreshold {
 
 /// Per-worker accumulation state; one slot per pool worker + caller, indexed
 /// by the parallel_for slot so no synchronization is needed until the merge.
-struct WorkerState {
-  explicit WorkerState(std::size_t k) : top(k) {}
+/// Each slot owns its cache lines: the meter and tally are written per pixel.
+struct alignas(64) WorkerState {
+  WorkerState(std::size_t k, std::size_t bands) : top(k), scratch(bands) {}
   TopK<RasterHit> top;
   CostMeter meter;
   exec::ScanTally tally;
+  std::vector<double> scratch;  // full-model pixel gather buffer
   double truncation_bound = kNegInf;
 };
+static_assert(alignof(WorkerState) >= 64, "adjacent workers' per-pixel meters must not share a line");
 
 /// Merges per-worker heaps/meters/tallies into the final result, reducing
 /// the meters with CostMeter::merge.  The global heap re-offers every local
@@ -155,16 +158,15 @@ RasterTopK parallel_full_scan_top_k(const TiledArchive& archive, const RasterMod
   ScopedTimer timer(meter);
   obs::Span span = obs::Span::child_of(ctx.span(), "parallel_full_scan");
   RasterTopK out;
-  std::vector<WorkerState> workers(pool.slot_count(), WorkerState(k));
+  std::vector<WorkerState> workers(pool.slot_count(), WorkerState(k, archive.band_count()));
   const std::uint64_t ops_before = meter.ops();
 
   pool.parallel_for(0, archive.height(), row_grain(archive.height(), pool.slot_count()),
                     [&](std::size_t y0, std::size_t y1, std::size_t slot) {
                       if (ctx.stopped()) return;
                       WorkerState& w = workers[slot];
-                      std::vector<double> scratch(archive.band_count());
                       exec::scan_rect_full(archive, model, 0, archive.width(), y0, y1, w.top,
-                                           scratch, ctx, w.meter, w.tally);
+                                           w.scratch, ctx, w.meter, w.tally);
                     });
 
   const exec::ScanTally tally = merge_workers(workers, k, out, meter);
@@ -189,7 +191,7 @@ RasterTopK parallel_progressive_model_top_k(const TiledArchive& archive,
   ScopedTimer timer(meter);
   obs::Span span = obs::Span::child_of(ctx.span(), "parallel_progressive_model");
   RasterTopK out;
-  std::vector<WorkerState> workers(pool.slot_count(), WorkerState(k));
+  std::vector<WorkerState> workers(pool.slot_count(), WorkerState(k, archive.band_count()));
   SharedThreshold shared;
   const std::uint64_t ops_before = meter.ops();
 
@@ -251,7 +253,7 @@ RasterTopK parallel_tile_screened_top_k(const TiledArchive& archive, const Raste
     span.note("tile_bounds", "cached");
   }
 
-  std::vector<WorkerState> workers(pool.slot_count(), WorkerState(k));
+  std::vector<WorkerState> workers(pool.slot_count(), WorkerState(k, archive.band_count()));
   SharedThreshold shared;
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> tiles_scanned{0};
@@ -259,14 +261,13 @@ RasterTopK parallel_tile_screened_top_k(const TiledArchive& archive, const Raste
 
   obs::Span scan_span = obs::Span::child_of(&span, "full_model_scan");
   pool.parallel_for(0, pool.slot_count(), 1, [&](std::size_t, std::size_t, std::size_t slot) {
-    std::vector<double> scratch(archive.band_count());
     tile_claim_loop(archive, *tb, cursor, shared, ctx, workers[slot],
                     [&](std::size_t t, WorkerState& w) {
                       const TileSummary& tile = tiles[t];
                       tiles_scanned.fetch_add(1, std::memory_order_relaxed);
                       exec::scan_rect_full(archive, model, tile.x0, tile.x0 + tile.width, tile.y0,
-                                           tile.y0 + tile.height, w.top, scratch, ctx, w.meter,
-                                           w.tally);
+                                           tile.y0 + tile.height, w.top, w.scratch, ctx,
+                                           w.meter, w.tally);
                       if (w.top.full()) shared.raise(w.top.threshold());
                     });
   });
@@ -319,7 +320,7 @@ RasterTopK parallel_progressive_combined_top_k(const TiledArchive& archive,
     span.note("tile_bounds", "cached");
   }
 
-  std::vector<WorkerState> workers(pool.slot_count(), WorkerState(k));
+  std::vector<WorkerState> workers(pool.slot_count(), WorkerState(k, archive.band_count()));
   SharedThreshold shared;
   std::atomic<std::size_t> cursor{0};
   std::atomic<std::size_t> tiles_scanned{0};

@@ -20,8 +20,9 @@
 // identical to the serial executors' (modulo exact ties).
 //
 // All workers share one QueryContext (concurrency-safe, see
-// core/query_context.hpp): the first worker whose charge fails latches the
-// stop reason and every other worker unwinds at its next charge.  Truncated
+// core/query_context.hpp) and draw whole-pixel grants from it once per row
+// band or tile: the first refused grant latches the stop reason and every
+// other worker unwinds once its granted pixels are scanned.  Truncated
 // results carry the same kind of sound missed-score bound as the serial
 // executors — for tile-order executors, the max bound over tiles not fully
 // examined; for scan-order executors, the archive-level model bound.

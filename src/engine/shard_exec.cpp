@@ -48,7 +48,8 @@ class SharedThreshold {
 /// Per-shard accumulation state.  Indexed by shard id — each shard is
 /// processed by exactly one pool slot, so no synchronization is needed until
 /// the gather (parallel_for's completion handshake publishes the writes).
-struct ShardRun {
+/// Each run owns its cache lines: the meter and tally are written per pixel.
+struct alignas(64) ShardRun {
   explicit ShardRun(std::size_t k) : top(k) {}
   TopK<RasterHit> top;
   CostMeter meter;
@@ -59,6 +60,7 @@ struct ShardRun {
   ResultStatus status = ResultStatus::kComplete;
   double missed_bound = kNegInf;
 };
+static_assert(alignof(ShardRun) >= 64, "adjacent shards' per-pixel meters must not share a line");
 
 /// Shard-level completion status: degraded when the shard carries poisoned
 /// samples anywhere in its tiles (a pruned tile's NaN could have been
@@ -211,7 +213,7 @@ void publish_fault_metrics(obs::MetricsRegistry* registry, const ShardFaultStats
 /// with per-shard attempt loops and (optionally) hedged duplicates.  With
 /// zero injected faults every leg completes cleanly on its first attempt and
 /// the result is byte-identical to the plain path: child contexts forward
-/// every charge to the same global envelope, the shared threshold only ever
+/// every grant to the same global envelope, the shared threshold only ever
 /// receives sound K-th-best values, and the gather walks shards in id order.
 template <typename ShardScan, typename ShardBound>
 ShardedTopK scatter_gather_faulted(const ShardedArchive& sharded, const char* stage,
@@ -236,7 +238,7 @@ ShardedTopK scatter_gather_faulted(const ShardedArchive& sharded, const char* st
   retry.jitter_seed = policy.jitter_seed;
 
   // One leg's attempt loop.  Every attempt gets a fresh child context chained
-  // under the global one: charges stay globally exact, a global stop latches
+  // under the global one: grants stay globally exact, a global stop latches
   // through, and the child adds the per-shard sub-deadline plus this leg's
   // cancel flag.  Work charged by attempts that are later discarded stays
   // charged — the work was really done.
